@@ -14,10 +14,14 @@
 //! - [`quota`]: deterministic per-tenant token buckets on the simulated
 //!   clock, with violations feeding the `fbdetect-core` quarantine;
 //! - [`pipeline`]: bounded crossbeam-channel stages
-//!   (decode → validate → route → shard append) with explicit
+//!   (decode → validate + route → shard append) with explicit
 //!   backpressure, oldest-first counted shedding, and a single-threaded
 //!   [`reference_ingest`](pipeline::reference_ingest) oracle the threaded
 //!   path is byte-identical to.
+//!
+//! Past decoding, the unit of work is a per-series run: the validator
+//! resolves each batch's series dictionary once and hands the appenders
+//! contiguous runs of one series' points, grouped by store shard.
 //!
 //! The whole path is `fbd-lint` supervised: panic-free library code, no
 //! wall clocks, no OS entropy, no hash-ordered iteration.
@@ -25,6 +29,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod oracle;
 pub mod pipeline;
 pub mod quota;
 pub mod validate;
@@ -32,5 +38,5 @@ pub mod wire;
 
 pub use pipeline::{reference_ingest, IngestConfig, IngestPipeline, IngestStats, PipelineClosed};
 pub use quota::{QuotaConfig, TenantQuotas};
-pub use validate::{FaultCounts, ValidatedBatch, Validator, ValidatorConfig};
+pub use validate::{FaultCounts, Run, ValidatedBatch, Validator, ValidatorConfig};
 pub use wire::{decode_batch, encode_batch, peek_point_count, SampleBatch, WireError, WirePoint};

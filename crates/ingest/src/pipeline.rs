@@ -1,9 +1,9 @@
 //! The staged, bounded ingestion pipeline.
 //!
 //! ```text
-//!             bounded              bounded             bounded
-//! submit ──▶ [ingress] ─decode─▶ [decoded] ─validate─▶ [routed] ─route─▶ [worker 0..n] ─append─▶ TsdbStore
-//!                │                  + quota                                  (by shard)
+//!             bounded              bounded                      bounded
+//! submit ──▶ [ingress] ─decode─▶ [decoded] ─validate + route─▶ [worker 0..n] ─append runs─▶ TsdbStore
+//!                │                  + quota                       (by shard)
 //!                └── submit_or_shed steals the *oldest* queued batch
 //!                    when full: counted, never silent
 //! ```
@@ -23,16 +23,29 @@
 //!
 //! Every internal stage uses blocking sends, so the bounded queues form a
 //! chain of high-water marks and the slowest stage throttles the whole
-//! path. Per-series ordering is preserved end to end: decode and validate
-//! are single-threaded, and the router assigns each series' shard to a
-//! fixed appender worker.
+//! path.
+//!
+//! Past decoding, the unit of work is a per-series run. The validate
+//! stage resolves each batch's series dictionary once and returns the
+//! admitted points as one contiguous run per series, grouped by store
+//! shard (see [`crate::validate`]). Routing needs nothing more, so it
+//! happens on the same thread: the stage shares the validated batch with
+//! every appender that owns one of its shards (shard `s` belongs to
+//! worker `s % appenders`), and each appender applies its shards' runs
+//! with one [`TsdbStore::append_runs`] call per shard.
+//!
+//! Per-series ordering is preserved end to end. Decode and validate are
+//! single-threaded, so batches reach the appenders in submit order; a
+//! run keeps its series' points in arrival order; and a series' shard,
+//! hence its appender, never changes, so each appender applies its
+//! series' runs in batch order.
 
 use crate::quota::{QuotaConfig, TenantQuotas};
 use crate::validate::{FaultCounts, ValidatedBatch, Validator, ValidatorConfig};
 use crate::wire::{decode_batch, peek_point_count, SampleBatch};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
-use fbd_tsdb::{SeriesId, Timestamp, TsdbStore};
+use fbd_tsdb::{SeriesId, TsdbStore};
 use fbdetect_core::quarantine::{FaultKind, Quarantine, QuarantineConfig};
 use fbd_sync::{LockDomain, OrderedMutex};
 use std::collections::BTreeMap;
@@ -160,8 +173,8 @@ struct Counters {
 }
 
 /// Tracks batch completion so `drain` can wait for quiescence without
-/// polling. A batch completes when it is shed, rejected, or every routed
-/// chunk of it has been applied to the store.
+/// polling. A batch completes when it is shed, rejected, or every appender
+/// it was routed to has applied its share to the store.
 struct Progress {
     /// `(submitted, completed)`, ranked `ingest-progress` (a leaf) in
     /// `LOCK_ORDER.manifest`. Poison recovery comes with [`OrderedMutex`].
@@ -206,7 +219,7 @@ struct Ticket {
 }
 
 impl Ticket {
-    fn chunk_done(&self) {
+    fn share_done(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.progress.completed();
         }
@@ -239,12 +252,12 @@ fn decode_counted(raw: &Bytes, counters: &Counters) -> Option<SampleBatch> {
 }
 
 /// Charges quota, validates, and records quarantine entries for one
-/// decoded batch. Returns the admitted points, or `None` when the whole
+/// decoded batch. Returns the admitted runs, or `None` when the whole
 /// batch was rejected — either way the loss buckets in `counters` are
 /// updated. Shared verbatim by the threaded validate stage and
 /// [`reference_ingest`].
 fn process_decoded_batch(
-    batch: &SampleBatch,
+    batch: SampleBatch,
     engine: &OrderedMutex<Engine>,
     quarantine: &OrderedMutex<Quarantine>,
     counters: &Counters,
@@ -270,6 +283,7 @@ fn process_decoded_batch(
         }
         return None;
     }
+    let collected_at = batch.collected_at;
     let validated = engine.validator.validate(batch);
     drop(engine);
     if !validated.nan_flagged.is_empty() {
@@ -279,26 +293,44 @@ fn process_decoded_batch(
                 id,
                 FaultKind::DataQuality,
                 "non-finite burst at wire boundary",
-                batch.collected_at,
+                collected_at,
             );
         }
     }
     Some(validated)
 }
 
-/// Applies routed points to the store, counting appends and rejects.
-fn apply_routed(store: &TsdbStore, chunk: &[(SeriesId, Timestamp, f64)], counters: &Counters) {
-    let outcome = store.append_batch(chunk);
-    counters
-        .points_appended
-        .fetch_add(outcome.appended as u64, Ordering::Relaxed);
-    counters
-        .append_rejected
-        .fetch_add(outcome.rejected.len() as u64, Ordering::Relaxed);
+/// The appender worker that owns store shard `shard`.
+fn worker_of(shard: usize, workers: usize) -> usize {
+    shard % workers.max(1)
 }
 
-struct RoutedChunk {
-    points: Vec<(SeriesId, Timestamp, f64)>,
+/// Applies the runs of `validated` whose shard `owns` accepts to the
+/// store, one shard lock per shard, counting appends and rejects.
+fn apply_runs(
+    store: &TsdbStore,
+    validated: &ValidatedBatch,
+    owns: impl Fn(usize) -> bool,
+    counters: &Counters,
+) {
+    for (shard, runs) in validated.shard_groups().filter(|&(shard, _)| owns(shard)) {
+        let outcome = store.append_runs(
+            shard,
+            runs.iter().filter_map(|run| validated.series_run(run)),
+        );
+        counters
+            .points_appended
+            .fetch_add(outcome.appended as u64, Ordering::Relaxed);
+        counters
+            .append_rejected
+            .fetch_add(outcome.rejected.len() as u64, Ordering::Relaxed);
+    }
+}
+
+/// One validated batch handed to one appender worker, which applies the
+/// runs of the shards it owns.
+struct RoutedBatch {
+    batch: Arc<ValidatedBatch>,
     ticket: Arc<Ticket>,
 }
 
@@ -345,8 +377,7 @@ impl IngestPipeline {
 
         let (ingress_tx, ingress_rx) = bounded::<Bytes>(depth);
         let (decoded_tx, decoded_rx) = bounded::<SampleBatch>(depth);
-        let (routed_tx, routed_rx) = bounded::<(ValidatedBatch, Arc<Ticket>)>(depth);
-        let worker_channels: Vec<(Sender<RoutedChunk>, Receiver<RoutedChunk>)> =
+        let worker_channels: Vec<(Sender<RoutedBatch>, Receiver<RoutedBatch>)> =
             (0..appenders).map(|_| bounded(depth)).collect();
 
         let mut threads = Vec::new();
@@ -374,88 +405,69 @@ impl IngestPipeline {
             }));
         }
 
-        // Stage 2: validate + quota (single thread: per-series state).
+        // Stage 2: quota + validate (single thread: per-series state),
+        // then route each batch to the appenders owning its shards.
         {
             let counters = Arc::clone(&counters);
             let progress = Arc::clone(&progress);
             let engine = Arc::clone(&engine);
             let quarantine = Arc::clone(&quarantine);
-            threads.push(std::thread::spawn(move || {
-                while let Ok(batch) = decoded_rx.recv() {
-                    match process_decoded_batch(&batch, &engine, &quarantine, &counters) {
-                        Some(validated) if !validated.routed.is_empty() => {
-                            let points = validated.routed.len() as u64;
-                            let ticket = Arc::new(Ticket {
-                                remaining: AtomicUsize::new(1),
-                                progress: Arc::clone(&progress),
-                            });
-                            if routed_tx.send((validated, ticket)).is_err() {
-                                counters
-                                    .internal_error_points
-                                    .fetch_add(points, Ordering::Relaxed);
-                                progress.completed();
-                            }
-                        }
-                        _ => progress.completed(),
-                    }
-                }
-            }));
-        }
-
-        // Stage 3: route by shard to a fixed appender worker.
-        {
-            let counters = Arc::clone(&counters);
-            let worker_txs: Vec<Sender<RoutedChunk>> =
+            let worker_txs: Vec<Sender<RoutedBatch>> =
                 worker_channels.iter().map(|(tx, _)| tx.clone()).collect();
             threads.push(std::thread::spawn(move || {
-                while let Ok((validated, ticket)) = routed_rx.recv() {
-                    let mut chunks: Vec<Vec<(SeriesId, Timestamp, f64)>> =
-                        (0..worker_txs.len()).map(|_| Vec::new()).collect();
-                    for (id, ts, value) in validated.routed {
-                        let worker = TsdbStore::shard_of(&id) % worker_txs.len();
-                        chunks[worker].push((id, ts, value));
+                let workers = worker_txs.len();
+                let mut share = vec![0u64; workers];
+                while let Ok(batch) = decoded_rx.recv() {
+                    let Some(validated) =
+                        process_decoded_batch(batch, &engine, &quarantine, &counters)
+                    else {
+                        progress.completed();
+                        continue;
+                    };
+                    share.iter_mut().for_each(|n| *n = 0);
+                    for run in validated.runs() {
+                        share[worker_of(run.shard, workers)] += (run.end - run.start) as u64;
                     }
-                    let live: Vec<usize> = (0..chunks.len())
-                        .filter(|&w| !chunks[w].is_empty())
-                        .collect();
-                    // The ticket was born with 1 outstanding chunk; adjust
-                    // to the real fan-out before dispatching.
-                    ticket
-                        .remaining
-                        .fetch_add(live.len().saturating_sub(1), Ordering::AcqRel);
-                    if live.is_empty() {
-                        ticket.chunk_done();
+                    let live = share.iter().filter(|&&n| n > 0).count();
+                    if live == 0 {
+                        progress.completed();
                         continue;
                     }
-                    for w in live {
-                        let chunk = std::mem::take(&mut chunks[w]);
-                        let points = chunk.len() as u64;
-                        if worker_txs[w]
-                            .send(RoutedChunk {
-                                points: chunk,
-                                ticket: Arc::clone(&ticket),
-                            })
-                            .is_err()
-                        {
+                    let ticket = Arc::new(Ticket {
+                        remaining: AtomicUsize::new(live),
+                        progress: Arc::clone(&progress),
+                    });
+                    let batch = Arc::new(validated);
+                    for (tx, &points) in worker_txs.iter().zip(&share) {
+                        if points == 0 {
+                            continue;
+                        }
+                        let routed = RoutedBatch {
+                            batch: Arc::clone(&batch),
+                            ticket: Arc::clone(&ticket),
+                        };
+                        if tx.send(routed).is_err() {
                             counters
                                 .internal_error_points
                                 .fetch_add(points, Ordering::Relaxed);
-                            ticket.chunk_done();
+                            ticket.share_done();
                         }
                     }
                 }
             }));
         }
 
-        // Stage 4: shard-append workers.
-        for (_, rx) in &worker_channels {
+        // Stage 3: shard-append workers, each owning a fixed set of store
+        // shards.
+        for (worker, (_, rx)) in worker_channels.iter().enumerate() {
             let rx = rx.clone();
             let store = Arc::clone(&store);
             let counters = Arc::clone(&counters);
             threads.push(std::thread::spawn(move || {
-                while let Ok(chunk) = rx.recv() {
-                    apply_routed(&store, &chunk.points, &counters);
-                    chunk.ticket.chunk_done();
+                while let Ok(routed) = rx.recv() {
+                    let owns = |shard| worker_of(shard, appenders) == worker;
+                    apply_runs(&store, &routed.batch, owns, &counters);
+                    routed.ticket.share_done();
                 }
             }));
         }
@@ -582,7 +594,7 @@ impl IngestPipeline {
             internal_error_points: c.internal_error_points.load(Ordering::Relaxed),
             points_appended: c.points_appended.load(Ordering::Relaxed),
             faults: *engine.validator.totals(),
-            per_series_faults: engine.validator.per_series().clone(),
+            per_series_faults: engine.validator.per_series(),
         }
     }
 
@@ -629,10 +641,8 @@ pub fn reference_ingest(
         let Some(batch) = decode_counted(raw, &counters) else {
             continue;
         };
-        if let Some(validated) = process_decoded_batch(&batch, &engine, quarantine, &counters) {
-            if !validated.routed.is_empty() {
-                apply_routed(store, &validated.routed, &counters);
-            }
+        if let Some(validated) = process_decoded_batch(batch, &engine, quarantine, &counters) {
+            apply_runs(store, &validated, |_| true, &counters);
         }
     }
     let engine = engine.lock();
@@ -650,6 +660,6 @@ pub fn reference_ingest(
         internal_error_points: counters.internal_error_points.load(Ordering::Relaxed),
         points_appended: counters.points_appended.load(Ordering::Relaxed),
         faults: *engine.validator.totals(),
-        per_series_faults: engine.validator.per_series().clone(),
+        per_series_faults: engine.validator.per_series(),
     }
 }

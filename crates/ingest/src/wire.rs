@@ -124,7 +124,7 @@ pub struct WirePoint {
 }
 
 /// A decoded (or under-construction) batch of samples from one tenant.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SampleBatch {
     /// Originating tenant.
     pub tenant: String,
@@ -133,8 +133,22 @@ pub struct SampleBatch {
     pub collected_at: Timestamp,
     series: Vec<SeriesId>,
     points: Vec<WirePoint>,
+    /// Dictionary lookup for [`SampleBatch::push`] only. Decoding leaves
+    /// it empty (the ingest path never pushes); the first push onto a
+    /// decoded batch rebuilds it from the dictionary.
     #[serde(skip)]
     index: BTreeMap<SeriesId, u16>,
+}
+
+/// Equality is over the batch contents; the push-side dictionary index
+/// is a cache and does not take part.
+impl PartialEq for SampleBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.tenant == other.tenant
+            && self.collected_at == other.collected_at
+            && self.series == other.series
+            && self.points == other.points
+    }
 }
 
 impl SampleBatch {
@@ -156,6 +170,14 @@ impl SampleBatch {
         timestamp: Timestamp,
         value: f64,
     ) -> Result<(), WireError> {
+        if self.index.len() < self.series.len() {
+            // A decoded batch: index the dictionary once. A repeated
+            // entry keeps its first index, as interning would have.
+            for (i, known) in self.series.iter().enumerate() {
+                let i = u16::try_from(i).map_err(|_| WireError::TooManySeries)?;
+                self.index.entry(known.clone()).or_insert(i);
+            }
+        }
         let idx = match self.index.get(id) {
             Some(&i) => i,
             None => {
@@ -200,6 +222,31 @@ impl SampleBatch {
     /// `None` only for an out-of-range index on a hand-built point.
     pub fn series_of(&self, point: &WirePoint) -> Option<&SeriesId> {
         self.series.get(point.series as usize)
+    }
+
+    /// Consumes the batch, keeping only its series dictionary (validation
+    /// hands it on to the appenders with the admitted runs).
+    pub(crate) fn into_series(self) -> Vec<SeriesId> {
+        self.series
+    }
+
+    /// A batch from raw parts, unchecked: repeated dictionary entries and
+    /// out-of-range point indices are allowed, for tests that drive the
+    /// validator with what decoding would reject or rarely produce.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        tenant: &str,
+        collected_at: Timestamp,
+        series: Vec<SeriesId>,
+        points: Vec<WirePoint>,
+    ) -> Self {
+        SampleBatch {
+            tenant: tenant.to_string(),
+            collected_at,
+            series,
+            points,
+            index: BTreeMap::new(),
+        }
     }
 }
 
@@ -298,14 +345,11 @@ pub fn decode_batch(buf: &[u8]) -> Result<SampleBatch, WireError> {
     let tenant = cur.str()?;
     let series_count = cur.u16()? as usize;
     let mut series = Vec::with_capacity(series_count);
-    let mut index = BTreeMap::new();
-    for i in 0..series_count {
+    for _ in 0..series_count {
         let service = cur.str()?;
         let metric = metric_from_code(cur.u8()?)?;
         let target = cur.str()?;
-        let id = SeriesId::new(service, metric, target);
-        index.entry(id.clone()).or_insert(i as u16);
-        series.push(id);
+        series.push(SeriesId::new(service, metric, target));
     }
     // The point section's size is fully determined by the header count:
     // verify before allocating so a corrupt count cannot over-reserve.
@@ -335,7 +379,7 @@ pub fn decode_batch(buf: &[u8]) -> Result<SampleBatch, WireError> {
         collected_at,
         series,
         points,
-        index,
+        index: BTreeMap::new(),
     })
 }
 
@@ -379,6 +423,20 @@ mod tests {
             assert_eq!(a.value.to_bits(), b.value.to_bits());
         }
         assert_eq!(decoded.series_of(&decoded.points()[1]).unwrap(), &sid(1));
+    }
+
+    #[test]
+    fn push_onto_a_decoded_batch_reuses_its_dictionary() {
+        let mut batch = SampleBatch::new("t", 0);
+        batch.push(&sid(0), 1, 1.0).unwrap();
+        batch.push(&sid(1), 2, 2.0).unwrap();
+        let mut decoded = decode_batch(&encode_batch(&batch).unwrap()).unwrap();
+        assert_eq!(decoded, batch);
+        decoded.push(&sid(1), 3, 3.0).unwrap();
+        decoded.push(&sid(2), 4, 4.0).unwrap();
+        assert_eq!(decoded.series(), &[sid(0), sid(1), sid(2)]);
+        let idx: Vec<u16> = decoded.points().iter().map(|p| p.series).collect();
+        assert_eq!(idx, vec![0, 1, 1, 2]);
     }
 
     #[test]

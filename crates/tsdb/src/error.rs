@@ -20,6 +20,13 @@ pub enum TsdbError {
     InvalidWindowConfig(&'static str),
     /// The queried window contains no data.
     EmptyWindow(&'static str),
+    /// A write named a store shard the series does not route to.
+    WrongShard {
+        /// The shard the series routes to.
+        expected: usize,
+        /// The shard the write named.
+        given: usize,
+    },
 }
 
 impl fmt::Display for TsdbError {
@@ -32,6 +39,9 @@ impl fmt::Display for TsdbError {
             }
             TsdbError::InvalidWindowConfig(what) => write!(f, "invalid window config: {what}"),
             TsdbError::EmptyWindow(which) => write!(f, "no data in {which} window"),
+            TsdbError::WrongShard { expected, given } => {
+                write!(f, "series routes to shard {expected}, not {given}")
+            }
         }
     }
 }

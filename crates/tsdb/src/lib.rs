@@ -25,7 +25,7 @@ pub use error::TsdbError;
 pub use scratch::ScratchPoints;
 pub use series::{SummaryBounds, TimeSeries};
 pub use store::{
-    BatchAppendOutcome, SeriesDelta, SeriesVersion, ShardStats, StoreConfig, StoreStats, TsdbStore,
+    BatchAppendOutcome, SeriesDelta, SeriesRun, SeriesVersion, ShardStats, StoreConfig, StoreStats, TsdbStore,
 };
 pub use types::{DataPoint, MetricKind, SeriesId, Timestamp};
 pub use window::{

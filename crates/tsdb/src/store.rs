@@ -59,12 +59,22 @@ pub enum SeriesDelta {
     },
 }
 
-/// What happened to each point of a [`TsdbStore::append_batch`] call.
+/// One series' points for [`TsdbStore::append_runs`], oldest first.
+#[derive(Debug, Clone, Copy)]
+pub struct SeriesRun<'a> {
+    /// The series the points belong to.
+    pub id: &'a SeriesId,
+    /// The points, in append order.
+    pub points: &'a [DataPoint],
+}
+
+/// What happened to the points of one [`TsdbStore::append_runs`] call.
 #[derive(Debug, Default)]
 pub struct BatchAppendOutcome {
     /// Points successfully appended.
     pub appended: usize,
-    /// Points the store refused, as `(index into the input batch, error)`.
+    /// Points the store refused, as `(index into the concatenation of the
+    /// call's runs, error)`.
     pub rejected: Vec<(usize, TsdbError)>,
 }
 
@@ -468,6 +478,38 @@ impl Shard {
     }
 }
 
+/// Appends one run to `series`, returning its resident bytes before and
+/// after; rejected points are reported at `offset + i`.
+// fbd-lint::hot
+fn append_run(
+    series: &mut TimeSeries,
+    points: &[DataPoint],
+    offset: usize,
+    outcome: &mut BatchAppendOutcome,
+) -> (usize, usize) {
+    let before = series.resident_bytes();
+    for (i, p) in points.iter().enumerate() {
+        match series.append(p.timestamp, p.value) {
+            Ok(()) => outcome.appended += 1,
+            Err(e) => outcome.rejected.push((offset + i, e)),
+        }
+    }
+    (before, series.resident_bytes())
+}
+
+/// Reports every point of a misrouted run as rejected.
+fn reject_run(
+    outcome: &mut BatchAppendOutcome,
+    offset: usize,
+    len: usize,
+    expected: usize,
+    given: usize,
+) {
+    outcome
+        .rejected
+        .extend((offset..offset + len).map(|i| (i, TsdbError::WrongShard { expected, given })));
+}
+
 /// A thread-safe in-memory time-series store.
 ///
 /// Writers (the fleet simulator's collectors) append samples concurrently
@@ -611,42 +653,60 @@ impl TsdbStore {
         result
     }
 
-    /// Appends a batch of samples, acquiring each touched shard's write
-    /// lock once instead of once per point. Points are grouped by shard
-    /// in input order, and within a shard each point goes through the
-    /// ordinary per-point [`TimeSeries::append`] — so the series' version
-    /// and appended counters keep their lockstep stride and delta
-    /// snapshots still classify the mutation as append-only.
+    /// Appends per-series runs that all route to store shard `shard`
+    /// ([`TsdbStore::shard_of`]) under one acquisition of that shard's
+    /// write lock: one map lookup and one resident-byte update per run,
+    /// then one budget check for the whole call. Within a run each point
+    /// goes through the ordinary per-point [`TimeSeries::append`], so the
+    /// series' version and appended counters keep their lockstep stride
+    /// and delta snapshots still classify the mutation as append-only.
     ///
-    /// Per-point failures (out-of-order timestamps) do not abort the
-    /// batch: the point is skipped and reported in
-    /// [`BatchAppendOutcome::rejected`] with its index into `points`.
-    pub fn append_batch(&self, points: &[(SeriesId, Timestamp, f64)]) -> BatchAppendOutcome {
+    /// Per-point failures do not abort the call: the point is skipped and
+    /// reported in [`BatchAppendOutcome::rejected`]. That covers
+    /// out-of-order timestamps, and a run whose series would be created
+    /// in the wrong shard ([`TsdbError::WrongShard`]) — a series already
+    /// in the shard's map proves its routing, so only first writes pay
+    /// for the check.
+    // fbd-lint::hot
+    pub fn append_runs<'a>(
+        &self,
+        shard: usize,
+        runs: impl IntoIterator<Item = SeriesRun<'a>>,
+    ) -> BatchAppendOutcome {
         let mut outcome = BatchAppendOutcome::default();
-        let mut by_shard: Vec<Vec<usize>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        for (i, (id, _, _)) in points.iter().enumerate() {
-            by_shard[Self::shard_index(id)].push(i);
-        }
-        for (shard, indices) in self.shards.iter().zip(&by_shard) {
-            if indices.is_empty() {
-                continue;
+        let mut offset = 0;
+        let given = shard;
+        let Some(shard) = self.shards.get(given) else {
+            for run in runs {
+                let expected = Self::shard_index(run.id);
+                reject_run(&mut outcome, offset, run.points.len(), expected, given);
+                offset += run.points.len();
             }
-            let mut guard = shard.write();
-            let shard = &mut *guard;
-            for &i in indices {
-                let (id, timestamp, value) = &points[i];
-                let series = shard.map.entry(id.clone()).or_insert_with(|| self.new_series());
-                let before = series.resident_bytes();
-                let result = series.append(*timestamp, *value);
-                let after = series.resident_bytes();
-                shard.track(before, after);
-                match result {
-                    Ok(()) => outcome.appended += 1,
-                    Err(e) => outcome.rejected.push((i, e)),
+            return outcome;
+        };
+        let mut guard = shard.write();
+        let guarded = &mut *guard;
+        for run in runs {
+            let (before, after) = match guarded.map.get_mut(run.id) {
+                Some(series) => append_run(series, run.points, offset, &mut outcome),
+                None => {
+                    let expected = Self::shard_index(run.id);
+                    if expected == given {
+                        let series = guarded
+                            .map
+                            .entry(run.id.clone())
+                            .or_insert_with(|| self.new_series());
+                        append_run(series, run.points, offset, &mut outcome)
+                    } else {
+                        reject_run(&mut outcome, offset, run.points.len(), expected, given);
+                        (0, 0)
+                    }
                 }
-            }
-            self.enforce_budget(shard);
+            };
+            guarded.track(before, after);
+            offset += run.points.len();
         }
+        self.enforce_budget(guarded);
         outcome
     }
 
@@ -1166,8 +1226,31 @@ mod tests {
         assert!(matches!(third[0], SeriesDelta::Reset { .. }));
     }
 
+    /// Appends `points` through [`TsdbStore::append_runs`], one run per
+    /// series (in first-appearance order), grouped by shard.
+    fn append_as_runs(store: &TsdbStore, points: &[(SeriesId, u64, f64)]) -> BatchAppendOutcome {
+        let mut runs: Vec<(SeriesId, Vec<DataPoint>)> = Vec::new();
+        for (id, ts, v) in points {
+            match runs.iter_mut().find(|(r, _)| r == id) {
+                Some((_, pts)) => pts.push(DataPoint::new(*ts, *v)),
+                None => runs.push((id.clone(), vec![DataPoint::new(*ts, *v)])),
+            }
+        }
+        let mut total = BatchAppendOutcome::default();
+        for shard in 0..TsdbStore::shard_count() {
+            let group = runs
+                .iter()
+                .filter(|(id, _)| TsdbStore::shard_of(id) == shard)
+                .map(|(id, pts)| SeriesRun { id, points: pts });
+            let out = store.append_runs(shard, group);
+            total.appended += out.appended;
+            total.rejected.extend(out.rejected);
+        }
+        total
+    }
+
     #[test]
-    fn append_batch_matches_per_point_appends_and_keeps_stride() {
+    fn append_runs_matches_per_point_appends_and_keeps_stride() {
         let per_point = TsdbStore::new();
         let batched = TsdbStore::new();
         let cfg = WindowConfig {
@@ -1184,7 +1267,7 @@ mod tests {
                 batch.push((sid.clone(), t, (t + s as u64) as f64));
             }
         }
-        let out = batched.append_batch(&batch);
+        let out = append_as_runs(&batched, &batch);
         assert_eq!(out.appended, batch.len());
         assert!(out.rejected.is_empty());
         let refs: Vec<&SeriesId> = ids.iter().collect();
@@ -1199,7 +1282,7 @@ mod tests {
         for (sid, got) in ids.iter().zip(&known) {
             let series = per_point.get(sid).unwrap();
             assert_eq!(batched.get(sid).unwrap().points(), series.points());
-            // Same counters as the per-point path: the batch kept the
+            // Same counters as the per-point path: the runs kept the
             // append-only stride.
             assert_eq!(got.unwrap().version, series.version());
             assert_eq!(got.unwrap().appended, series.appended());
@@ -1207,7 +1290,7 @@ mod tests {
         // A follow-up batch is observed as Appended, not Reset.
         let tail: Vec<(SeriesId, u64, f64)> =
             ids.iter().map(|sid| (sid.clone(), 50, 9.0)).collect();
-        let out = batched.append_batch(&tail);
+        let out = append_as_runs(&batched, &tail);
         assert_eq!(out.appended, ids.len());
         for (i, d) in batched
             .snapshot_deltas(&refs, &known, &cfg, 51)
@@ -1222,24 +1305,64 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_reports_out_of_order_rejects() {
+    fn append_runs_reports_out_of_order_rejects() {
         let store = TsdbStore::new();
         let a = id("a");
-        let batch = vec![
-            (a.clone(), 10, 1.0),
-            (a.clone(), 5, 2.0), // out of order: rejected
-            (a.clone(), 10, 3.0), // equal timestamp: allowed
-            (a.clone(), 11, 4.0),
+        let points = [
+            DataPoint::new(10, 1.0),
+            DataPoint::new(5, 2.0),  // out of order: rejected
+            DataPoint::new(10, 3.0), // equal timestamp: allowed
+            DataPoint::new(11, 4.0),
         ];
-        let out = store.append_batch(&batch);
+        let run = SeriesRun {
+            id: &a,
+            points: &points,
+        };
+        let out = store.append_runs(TsdbStore::shard_of(&a), [run]);
         assert_eq!(out.appended, 3);
         assert_eq!(out.rejected.len(), 1);
         assert_eq!(out.rejected[0].0, 1);
         assert!(matches!(
             out.rejected[0].1,
-            TsdbError::OutOfOrderAppend { last: 10, attempted: 5 }
+            TsdbError::OutOfOrderAppend {
+                last: 10,
+                attempted: 5
+            }
         ));
         assert_eq!(store.get(&a).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn append_runs_rejects_a_new_series_in_the_wrong_shard() {
+        let store = TsdbStore::new();
+        let a = id("a");
+        let b = id("b");
+        let home = TsdbStore::shard_of(&a);
+        let wrong = (home + 1) % TsdbStore::shard_count();
+        let points = [DataPoint::new(1, 1.0), DataPoint::new(2, 2.0)];
+        let runs = |id| SeriesRun {
+            id,
+            points: &points,
+        };
+        let out = store.append_runs(wrong, [runs(&a)]);
+        assert_eq!(out.appended, 0);
+        let expected = TsdbError::WrongShard {
+            expected: home,
+            given: wrong,
+        };
+        assert_eq!(out.rejected, vec![(0, expected.clone()), (1, expected)]);
+        assert!(!store.contains(&a));
+        // An out-of-range shard rejects too, and offsets span the runs.
+        let out = store.append_runs(TsdbStore::shard_count(), [runs(&a), runs(&b)]);
+        let offsets: Vec<usize> = out.rejected.iter().map(|(i, _)| *i).collect();
+        assert_eq!(offsets, vec![0, 1, 2, 3]);
+        // The right shard accepts, and the resident counter follows.
+        let out = store.append_runs(home, [runs(&a)]);
+        assert_eq!(out.appended, 2);
+        assert_eq!(
+            store.stats().resident_bytes(),
+            store.get(&a).unwrap().resident_bytes()
+        );
     }
 
     #[test]
