@@ -32,6 +32,19 @@ fn step_series(len: usize) -> Vec<f64> {
         .unwrap()
 }
 
+/// A shift at the same place that recovers before the series ends — the
+/// went-away filter's dominant input, decided by RegressionGoneAway alone.
+fn recovered_series(len: usize) -> Vec<f64> {
+    SeriesSpec::flat(len, 1.0, 0.05)
+        .with_event(Event::Transient {
+            at: len * 3 / 4,
+            duration: len / 9,
+            delta: 0.3,
+        })
+        .generate(7)
+        .unwrap()
+}
+
 fn windows_of(values: &[f64]) -> WindowedData {
     let h = values.len() * 2 / 3;
     let a = values.len() * 2 / 9;
@@ -88,6 +101,11 @@ fn bench_stages(c: &mut Criterion) {
     let regression = regression_of(&values);
     c.bench_function("went_away_evaluate_900", |b| {
         b.iter(|| went_away.evaluate(&regression).unwrap())
+    });
+    let recovered = regression_of(&recovered_series(900));
+    assert!(went_away.evaluate(&recovered).unwrap().gone_away);
+    c.bench_function("went_away_evaluate_recovered_900", |b| {
+        b.iter(|| went_away.evaluate(&recovered).unwrap())
     });
     c.bench_function("sax_encode_900", |b| {
         b.iter(|| encode(&values, SaxConfig::default()).unwrap())

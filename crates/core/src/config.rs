@@ -300,7 +300,7 @@ mod tests {
         let t = Threshold::Absolute(0.1);
         assert!(t.is_met(1.0, 1.1));
         assert!(!t.is_met(1.0, 1.05));
-        assert_eq!(t.absolute_for(100.0), 0.1);
+        assert_eq!(t.absolute_for(100.0).to_bits(), 0.1f64.to_bits());
     }
 
     #[test]
@@ -309,7 +309,7 @@ mod tests {
         assert!(t.is_met(1.0, 1.1));
         assert!(!t.is_met(100.0, 101.0));
         assert!(!t.is_met(0.0, 1.0)); // No baseline, no relative change.
-        assert_eq!(t.absolute_for(2.0), 0.2);
+        assert_eq!(t.absolute_for(2.0).to_bits(), 0.2f64.to_bits());
     }
 
     #[test]
@@ -324,18 +324,21 @@ mod tests {
     #[test]
     fn paper_parameter_defaults() {
         let c = presets::frontfaas_small();
-        assert_eq!(c.significance, 0.01);
+        assert_eq!(c.significance.to_bits(), 0.01f64.to_bits());
         assert_eq!(c.sax.buckets, 20);
         assert!((c.sax.validity_fraction - 0.03).abs() < 1e-12);
-        assert_eq!(c.regression_coefficient, 1.5);
-        assert_eq!(c.importance_weights, [0.2, 0.6, 0.1, 0.1]);
+        assert_eq!(c.regression_coefficient.to_bits(), 1.5f64.to_bits());
+        assert_eq!(
+            c.importance_weights.map(f64::to_bits),
+            [0.2, 0.6, 0.1, 0.1].map(f64::to_bits)
+        );
         assert!(matches!(c.threshold, Threshold::Absolute(t) if (t - 0.00005).abs() < 1e-12));
     }
 
     #[test]
     fn workload_specific_flags() {
         assert!(!presets::pythonfaas_large().long_term_enabled);
-        assert_eq!(presets::adserving_short().cost_domain_exclusion_ratio, 0.0);
+        assert!(presets::adserving_short().cost_domain_exclusion_ratio == 0.0);
         assert!(matches!(
             presets::ct_demand().threshold,
             Threshold::Relative(_)

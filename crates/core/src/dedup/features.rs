@@ -148,7 +148,7 @@ mod tests {
         let model = TfIdf::fit(&["svc::foo.gcpu", "svc::bar.gcpu"], &[2, 3]);
         let v = feature_vector(&regression("foo", 100), &model, 0b11).unwrap();
         assert_eq!(v.len(), 9);
-        assert_eq!(v[8], 3.0); // The bitmap rides in the last slot.
+        assert_eq!(v[8].to_bits(), 3.0f64.to_bits()); // The bitmap rides in the last slot.
         assert!(v[0] >= 0.0); // Variance.
         assert!((0.0..=1.0).contains(&v[1])); // Change fraction.
     }
@@ -158,8 +158,8 @@ mod tests {
         let model = TfIdf::fit(&["svc::foo.gcpu", "svc::bar.gcpu"], &[2, 3]);
         let a = feature_vector(&regression("foo", 100), &model, 0).unwrap();
         let b = feature_vector(&regression("foo", 200), &model, 0).unwrap();
-        assert_eq!(a[6], b[6]);
-        assert_eq!(a[7], b[7]);
+        assert_eq!(a[6].to_bits(), b[6].to_bits());
+        assert_eq!(a[7].to_bits(), b[7].to_bits());
         let c = feature_vector(&regression("bar", 100), &model, 0).unwrap();
         assert_ne!((a[6], a[7]), (c[6], c[7]));
     }

@@ -309,7 +309,7 @@ mod tests {
     fn attribution_zero_when_no_regression() {
         let (before, _) = table2_samples();
         let score = gcpu_attribution(&before, &before, 2, &[1, 5]);
-        assert_eq!(score, 0.0);
+        assert!(score == 0.0);
     }
 
     #[test]
@@ -324,7 +324,10 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(gcpu_attribution(&before, &after, 2, &[1]), 1.0);
+        assert_eq!(
+            gcpu_attribution(&before, &after, 2, &[1]).to_bits(),
+            1.0f64.to_bits()
+        );
     }
 
     fn regression_with_step(change_time: u64) -> Regression {

@@ -523,7 +523,7 @@ proptest! {
             .map(|(i, _)| SeriesId::new("svc", MetricKind::GCpu, format!("s{i}")))
             .collect();
         let id_refs: Vec<&SeriesId> = ids.iter().collect();
-        let mut engine = StreamingEngine::new(wcfg.clone());
+        let mut engine = StreamingEngine::new(wcfg);
         // Pre-fill one full span so the historic region is never empty:
         // every round from here on must take the scan (or reuse) path,
         // never the data-quality gate.

@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn mean_and_variance_basic() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&data).unwrap(), 5.0);
+        assert_eq!(mean(&data).unwrap().to_bits(), 5.0f64.to_bits());
         // Sample variance of this classic example is 32/7.
         assert!((variance(&data).unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert!((population_variance(&data).unwrap() - 4.0).abs() < 1e-12);
@@ -225,19 +225,20 @@ mod tests {
 
     #[test]
     fn median_even_and_odd() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
-        assert_eq!(median(&[7.0]).unwrap(), 7.0);
+        let odd = median(&[3.0, 1.0, 2.0]).unwrap();
+        let even = median(&[4.0, 1.0, 2.0, 3.0]).unwrap();
+        let single = median(&[7.0]).unwrap();
+        assert_eq!(
+            [odd, even, single].map(f64::to_bits),
+            [2.0, 2.5, 7.0].map(f64::to_bits)
+        );
     }
 
     #[test]
     fn percentile_interpolates() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&data, 0.0).unwrap(), 1.0);
-        assert_eq!(percentile(&data, 100.0).unwrap(), 5.0);
-        assert_eq!(percentile(&data, 50.0).unwrap(), 3.0);
-        assert_eq!(percentile(&data, 25.0).unwrap(), 2.0);
-        assert_eq!(percentile(&data, 90.0).unwrap(), 4.6);
+        let got = [0.0, 100.0, 50.0, 25.0, 90.0].map(|p| percentile(&data, p).unwrap().to_bits());
+        assert_eq!(got, [1.0, 5.0, 3.0, 2.0, 4.6].map(f64::to_bits));
     }
 
     #[test]
@@ -252,7 +253,7 @@ mod tests {
     fn mad_matches_hand_computation() {
         // Median = 2, deviations = [1, 0, 1, 3], MAD = 1.
         let data = [1.0, 2.0, 3.0, 5.0];
-        assert_eq!(mad(&data).unwrap(), 1.0);
+        assert_eq!(mad(&data).unwrap().to_bits(), 1.0f64.to_bits());
         assert!((robust_std(&data).unwrap() - 1.4826).abs() < 1e-12);
     }
 

@@ -210,12 +210,12 @@ mod tests {
     fn empty_and_single_sample() {
         let empty = PrefixStats::new(&[]);
         assert!(empty.is_empty());
-        assert_eq!(empty.global_mean(), 0.0);
+        assert!(empty.global_mean() == 0.0);
         let one = PrefixStats::new(&[7.0]);
         assert_eq!(one.len(), 1);
-        assert_eq!(one.segment_cost(0, 1), 0.0);
-        assert_eq!(one.segment_mean(0, 1), 7.0);
-        assert_eq!(one.segment_mean(1, 1), 7.0);
+        assert!(one.segment_cost(0, 1) == 0.0);
+        assert_eq!(one.segment_mean(0, 1).to_bits(), 7.0f64.to_bits());
+        assert_eq!(one.segment_mean(1, 1).to_bits(), 7.0f64.to_bits());
     }
 
     #[test]

@@ -228,8 +228,8 @@ mod tests {
 
     #[test]
     fn regularized_beta_boundaries() {
-        assert_eq!(regularized_beta(2.0, 3.0, 0.0), 0.0);
-        assert_eq!(regularized_beta(2.0, 3.0, 1.0), 1.0);
+        assert!(regularized_beta(2.0, 3.0, 0.0) == 0.0);
+        assert_eq!(regularized_beta(2.0, 3.0, 1.0).to_bits(), 1.0f64.to_bits());
         // I_x(1, 1) = x (uniform distribution).
         for x in [0.1, 0.5, 0.9] {
             assert!((regularized_beta(1.0, 1.0, x) - x).abs() < 1e-10);
